@@ -269,7 +269,9 @@ pub struct RunResult<F: PrimeField> {
     /// the corrupted roles exposed (privacy accounting).
     pub leaks: LeakLog,
     /// Wall-clock seconds per protocol stage (`setup`, `dkg`,
-    /// `offline`, `online`), in execution order. Diagnostics only —
+    /// `offline`, `online`), in execution order; streaming runs end
+    /// with one `drain` entry, the summed time spent folding sealed
+    /// rounds at the stage boundaries. Diagnostics only —
     /// never feeds the transcript; workers use it to report where a
     /// run's time went (compute vs board round trips).
     pub stage_wall_secs: Vec<(&'static str, f64)>,
@@ -400,20 +402,29 @@ impl Engine {
         // workers drain at their own pace).
         let pool = ScratchPool::new(self.config.streaming);
         let mut acc = if self.config.streaming { Some(PhaseAccumulator::new()) } else { None };
-        let drain = |acc: &mut PhaseAccumulator| -> Result<(), ProtocolError> {
-            acc.drain_sealed(board)?;
-            if partition.is_solo() {
-                board.retain_rounds_from(acc.next_round())?;
+        // Stage timing is diagnostics only (worker wall-clock reports);
+        // nothing derived from these clocks reaches the board. Every
+        // streaming drain is charged to one summed `drain` entry, not
+        // to the stage that follows it.
+        let mut stage_wall_secs: Vec<(&'static str, f64)> = Vec::new();
+        let mut drain_secs = 0.0;
+        let mut stage_start = std::time::Instant::now();
+        let lap = |start: &mut std::time::Instant| -> f64 {
+            let secs = start.elapsed().as_secs_f64();
+            *start = std::time::Instant::now();
+            secs
+        };
+        let mut drain = |acc: &mut Option<PhaseAccumulator>,
+                         start: &mut std::time::Instant|
+         -> Result<(), ProtocolError> {
+            if let Some(a) = acc.as_mut() {
+                a.drain_sealed(board)?;
+                if partition.is_solo() {
+                    board.retain_rounds_from(a.next_round())?;
+                }
+                drain_secs += lap(start);
             }
             Ok(())
-        };
-        // Stage timing is diagnostics only (worker wall-clock reports);
-        // nothing derived from these clocks reaches the board.
-        let mut stage_wall_secs: Vec<(&'static str, f64)> = Vec::new();
-        let mut stage_start = std::time::Instant::now();
-        let mut note_stage = |name: &'static str, start: &mut std::time::Instant| {
-            stage_wall_secs.push((name, start.elapsed().as_secs_f64()));
-            *start = std::time::Instant::now();
         };
         let mut setup = run_setup_in::<F, _>(
             rng,
@@ -422,10 +433,8 @@ impl Engine {
             circuit.mul_depth(),
             circuit.clients(),
         )?;
-        note_stage("setup", &mut stage_start);
-        if let Some(a) = acc.as_mut() {
-            drain(a)?;
-        }
+        stage_wall_secs.push(("setup", lap(&mut stage_start)));
+        drain(&mut acc, &mut stage_start)?;
         if self.config.dealerless_setup {
             // Replace the dealer's key with a DKG among the first
             // committee, then re-encrypt the KFF secrets under it.
@@ -442,18 +451,14 @@ impl Engine {
                 &self.config,
             )?;
             setup = rekey_setup_in(rng, &self.params, &sb, setup, chain)?;
-            note_stage("dkg", &mut stage_start);
-            if let Some(a) = acc.as_mut() {
-                drain(a)?;
-            }
+            stage_wall_secs.push(("dkg", lap(&mut stage_start)));
+            drain(&mut acc, &mut stage_start)?;
         }
         setup.tsk.set_leak_log(leak.clone());
         let offline =
             run_offline_in(rng, &self.params, &sb, adversary, &self.config, &bc, &setup, &pool)?;
-        note_stage("offline", &mut stage_start);
-        if let Some(a) = acc.as_mut() {
-            drain(a)?;
-        }
+        stage_wall_secs.push(("offline", lap(&mut stage_start)));
+        drain(&mut acc, &mut stage_start)?;
         let online = run_online_in(
             rng,
             &self.params,
@@ -467,7 +472,7 @@ impl Engine {
             &leak,
             &pool,
         )?;
-        note_stage("online", &mut stage_start);
+        stage_wall_secs.push(("online", lap(&mut stage_start)));
         sb.finish()?;
         // A sharded worker's own meter saw only the posts it appended;
         // rebuild the per-phase statistics from the shared transcript
@@ -477,7 +482,10 @@ impl Engine {
         // no materialization).
         let transcript_hash = match acc.as_mut() {
             Some(a) => {
+                stage_start = std::time::Instant::now();
                 a.finish(board)?;
+                drain_secs += lap(&mut stage_start);
+                stage_wall_secs.push(("drain", drain_secs));
                 Some(a.transcript_hash())
             }
             None => None,
@@ -678,6 +686,13 @@ mod tests {
         assert_eq!(full.phases, streaming.phases);
         assert_eq!(full.transcript_hash, None);
         assert_eq!(streaming.transcript_hash, Some(reference.transcript_hash()));
+
+        // Drain time is its own single entry, and only when streaming.
+        let names = |run: &RunResult<F61>| -> Vec<&'static str> {
+            run.stage_wall_secs.iter().map(|&(name, _)| name).collect()
+        };
+        assert_eq!(names(&full), ["setup", "offline", "online"]);
+        assert_eq!(names(&streaming), ["setup", "offline", "online", "drain"]);
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //! contributions, which under `t < n/2` always suffice — this is where
 //! guaranteed output delivery comes from.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use rand::{Rng, RngCore, SeedableRng};
 
-use yoso_field::{lagrange, PrimeField};
-use yoso_pss_sharing::shamir;
+use yoso_field::PrimeField;
 use yoso_runtime::{ActiveAttack, Behavior, BulletinBoard, Committee, LeakLog};
 use yoso_the::mock::{Ciphertext, KeyShare, LinearPke, MockTe, PkeKeyPair, PkePublicKey, PublicKey};
 use yoso_the::nizk::{
@@ -63,9 +65,13 @@ pub struct ReencryptedValue<F: PrimeField> {
     /// board): the opened value is `source_v − s·u_source`.
     pub source_v: F,
     /// Provider posts (all of them; consumers filter by `valid`).
-    pub posts: Vec<ProviderPost<F>>,
+    posts: Vec<ProviderPost<F>>,
     /// Threshold: `t + 1` valid posts are needed to open.
-    pub t: usize,
+    t: usize,
+    /// Lagrange-at-0 weights of the canonical subset's providers,
+    /// shared by every value re-encrypted over the same provider set
+    /// (`None` when fewer than `t + 1` posts are valid).
+    weights: Option<Arc<[F]>>,
 }
 
 impl<F: PrimeField> ReencryptedValue<F> {
@@ -96,20 +102,21 @@ impl<F: PrimeField> ReencryptedValue<F> {
     /// *inside* the ciphertexts: combining `(u_j, v_j)` with
     /// coefficients `w_j` yields an encryption of the combined partial
     /// `s·u_ct`, so `value = v_ct − (a_v − sk·a_u)` … folded into
-    /// `(a, b)` below.
+    /// `(a, b)` below. The weights were computed once per provider set
+    /// when the value was re-encrypted, so this is an O(t) dot product.
     ///
     /// # Errors
     ///
     /// Propagates [`Self::canonical_subset`] errors.
     pub fn opening_coefficients(&self) -> Result<(F, F), ProtocolError> {
         let subset = self.canonical_subset()?;
-        let points: Vec<F> = subset.iter().map(|p| F::from_u64(p.provider as u64 + 1)).collect();
-        let w = lagrange::basis_at(&points, F::ZERO)
-            .map_err(|e| ProtocolError::Pss(yoso_pss_sharing::PssError::Field(e)))?;
+        let Some(w) = self.weights.as_deref() else {
+            return Err(ProtocolError::Invariant("re-encrypted value lacks its opening weights"));
+        };
         // Combined encrypted partial: Σ w_j (u_j, v_j) encrypts s·u_ct.
         let mut a_u = F::ZERO;
         let mut a_v = F::ZERO;
-        for (p, &wj) in subset.iter().zip(&w) {
+        for (p, &wj) in subset.iter().zip(w) {
             a_u += wj * p.ct.u;
             a_v += wj * p.ct.v;
         }
@@ -126,6 +133,30 @@ impl<F: PrimeField> ReencryptedValue<F> {
     pub fn open(&self, sk_scalar: F) -> Result<F, ProtocolError> {
         let (a, b) = self.opening_coefficients()?;
         Ok(a - sk_scalar * b)
+    }
+}
+
+/// Lagrange-at-0 weights keyed by the actual provider set, so every
+/// item combined over the same providers shares one O(t²) weight
+/// computation. Malicious, fail-stopped and share-less members change
+/// the set; it is never assumed to be `0..=t`.
+struct ZeroWeightCache<F: PrimeField> {
+    sets: BTreeMap<Vec<usize>, Arc<[F]>>,
+}
+
+impl<F: PrimeField> ZeroWeightCache<F> {
+    fn new() -> Self {
+        ZeroWeightCache { sets: BTreeMap::new() }
+    }
+
+    /// The weights for `providers` (0-based member indices).
+    fn weights(&mut self, providers: &[usize]) -> Result<Arc<[F]>, ProtocolError> {
+        if let Some(w) = self.sets.get(providers) {
+            return Ok(Arc::clone(w));
+        }
+        let w: Arc<[F]> = MockTe::<F>::zero_weights(providers)?.into();
+        self.sets.insert(providers.to_vec(), Arc::clone(&w));
+        Ok(w)
     }
 }
 
@@ -297,23 +328,28 @@ impl<F: PrimeField> TskChain<F> {
             }
         }
 
+        let mut cache = ZeroWeightCache::new();
+        let mut providers = Vec::with_capacity(self.pk.t + 1);
+        let mut values = Vec::with_capacity(self.pk.t + 1);
         cts.iter()
             .zip(partials)
             .map(|(ct, posts)| {
-                let valid: Vec<yoso_the::mock::PartialDec<F>> = posts
-                    .iter()
-                    .filter(|(_, _, ok)| *ok)
-                    .take(self.pk.t + 1)
-                    .map(|&(party, value, _)| yoso_the::mock::PartialDec { party, value })
-                    .collect();
-                if valid.len() < self.pk.t + 1 {
+                providers.clear();
+                values.clear();
+                let valid = posts.iter().filter(|(_, _, ok)| *ok).take(self.pk.t + 1);
+                for &(party, value, _) in valid {
+                    providers.push(party);
+                    values.push(value);
+                }
+                if providers.len() < self.pk.t + 1 {
                     return Err(ProtocolError::NotEnoughContributions {
                         step: "threshold decrypt",
-                        got: valid.len(),
+                        got: providers.len(),
                         need: self.pk.t + 1,
                     });
                 }
-                Ok(MockTe::combine(&self.pk, ct, &valid)?)
+                let w = cache.weights(&providers)?;
+                Ok(MockTe::combine_with(ct, &w, values.iter().copied()))
             })
             .collect()
     }
@@ -372,6 +408,7 @@ impl<F: PrimeField> TskChain<F> {
                 source_v: ct.v,
                 posts: Vec::new(),
                 t: self.pk.t,
+                weights: None,
             };
             for i in 0..committee.n() {
                 let Some(share) = &self.shares[i] else { continue };
@@ -425,9 +462,14 @@ impl<F: PrimeField> TskChain<F> {
             }
             (val, posts)
         });
+        let mut cache = ZeroWeightCache::new();
         let mut out = Vec::with_capacity(items.len());
-        for (val, posts) in worker_out {
+        for (mut val, posts) in worker_out {
             sb.flush_buffer(posts)?;
+            if let Ok(subset) = val.canonical_subset() {
+                let providers: Vec<usize> = subset.iter().map(|p| p.provider).collect();
+                val.weights = Some(cache.weights(&providers)?);
+            }
             out.push(val);
         }
         Ok(out)
@@ -440,8 +482,9 @@ impl<F: PrimeField> TskChain<F> {
     /// # Errors
     ///
     /// Returns [`ProtocolError::NotEnoughContributions`] if fewer than
-    /// `t + 1` re-share messages verify.
-    #[allow(clippy::needless_range_loop)]
+    /// `t + 1` re-share messages verify, and
+    /// [`ProtocolError::BadParameters`] if `next_keys` does not hold
+    /// one key pair per member.
     pub fn handover<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -458,7 +501,13 @@ impl<F: PrimeField> TskChain<F> {
     /// [`Self::handover`] posting through an existing sharded board,
     /// with per-member child RNGs (same sharding contract as
     /// [`Self::decrypt_in`]).
-    #[allow(clippy::needless_range_loop)]
+    ///
+    /// Each participating member's seed is drawn in member order; the
+    /// members then deal their subshares on up to `cfg.num_threads`
+    /// workers and post in member order, so the transcript is
+    /// byte-identical at any thread count. The providers' Lagrange
+    /// weights are computed once and shared by all `n` recombinations
+    /// and by the verification-key derivation.
     pub(crate) fn handover_in<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -471,92 +520,36 @@ impl<F: PrimeField> TskChain<F> {
         self.record_leaks(outgoing);
         let n = self.pk.n;
         let t = self.pk.t;
-        assert_eq!(next_keys.len(), n, "next committee must have n role keys");
+        if next_keys.len() != n {
+            return Err(ProtocolError::BadParameters(format!(
+                "tsk handover needs one role key per next-committee member (n = {n})"
+            )));
+        }
         let recipient_pks: Vec<PkePublicKey<F>> = next_keys.iter().map(|kp| kp.public).collect();
 
-        let mut msgs: Vec<PostedReshare<F>> = Vec::new();
-        for i in 0..outgoing.n() {
-            let Some(share) = &self.shares[i] else { continue };
-            let behavior = outgoing.behavior(i);
-            if !behavior.participates_at(crate::engine::phase_index(phase)) {
-                continue;
-            }
-            let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
+        let phase_idx = crate::engine::phase_index(phase);
+        let dealers: Vec<(usize, u64)> = (0..outgoing.n())
+            .filter(|&i| {
+                self.shares[i].is_some() && outgoing.behavior(i).participates_at(phase_idx)
+            })
+            .map(|i| (i, rng.next_u64()))
+            .collect();
+        // Every dealer holds a share, so no message is dropped here.
+        let msgs: Vec<PostedReshare<F>> =
+            crate::parallel::par_map(cfg.num_threads, &dealers, |_, &(i, seed)| {
+                let share = self.shares[i].as_ref()?;
+                Some(self.deal_reshare(i, share, seed, outgoing, cfg, &recipient_pks))
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        let mut posts = crate::parallel::PostBuffer::new();
+        let elements = messages::reshare_elements(n as u64, t as u64);
+        for &(i, _) in &dealers {
             let owned = cfg.partition.owns(i);
-            let prove = cfg.produce_proofs && owned;
-            let posted = match behavior {
-                Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
-                    // Sample the sub-sharing polynomial explicitly so we
-                    // can both encrypt subshares and prove.
-                    let mut coeffs = Vec::with_capacity(t + 1);
-                    coeffs.push(share.value);
-                    for _ in 0..t {
-                        coeffs.push(F::random(&mut mrng));
-                    }
-                    let commitments: Vec<F> = coeffs.iter().map(|&a| a * self.pk.g).collect();
-                    let mut enc_subshares = Vec::with_capacity(n);
-                    let mut rands = Vec::with_capacity(n);
-                    for m in 0..n {
-                        let x = F::from_u64(m as u64 + 1);
-                        let mut acc = F::ZERO;
-                        for &a in coeffs.iter().rev() {
-                            acc = acc * x + a;
-                        }
-                        let (ct, r) = LinearPke::encrypt(&mut mrng, &recipient_pks[m], acc);
-                        enc_subshares.push(ct);
-                        rands.push(r);
-                    }
-                    let valid = if prove {
-                        let proof = reshare_proof(
-                            &mut mrng,
-                            &self.pk,
-                            &commitments,
-                            &recipient_pks,
-                            &enc_subshares,
-                            &coeffs,
-                            &rands,
-                        );
-                        verify_reshare_proof(
-                            &self.pk,
-                            i,
-                            &commitments,
-                            &recipient_pks,
-                            &enc_subshares,
-                            &proof,
-                        )
-                    } else {
-                        true
-                    };
-                    PostedReshare { from: i, commitments, enc_subshares, valid }
-                }
-                Behavior::Malicious(_) => {
-                    let commitments: Vec<F> = (0..=t).map(|_| F::random(&mut mrng)).collect();
-                    let enc_subshares: Vec<Ciphertext<F>> = (0..n)
-                        .map(|m| {
-                            let junk = F::random(&mut mrng);
-                            LinearPke::encrypt(&mut mrng, &recipient_pks[m], junk).0
-                        })
-                        .collect();
-                    let valid = if prove {
-                        let proof = ReshareProof::<F>::garbage(&mut mrng, n, t);
-                        verify_reshare_proof(
-                            &self.pk,
-                            i,
-                            &commitments,
-                            &recipient_pks,
-                            &enc_subshares,
-                            &proof,
-                        )
-                    } else {
-                        false
-                    };
-                    PostedReshare { from: i, commitments, enc_subshares, valid }
-                }
-            };
-            let elements = messages::reshare_elements(n as u64, t as u64);
-            sb.post(owned, outgoing.role(i), Post::TskReshare, phase, elements)?;
-            msgs.push(posted);
+            posts.record(owned, outgoing.role(i), Post::TskReshare, phase, elements);
         }
+        sb.flush_buffer(posts)?;
 
         let providers: Vec<&PostedReshare<F>> =
             msgs.iter().filter(|m| m.valid).take(t + 1).collect();
@@ -568,42 +561,112 @@ impl<F: PrimeField> TskChain<F> {
             });
         }
         let provider_indices: Vec<usize> = providers.iter().map(|m| m.from).collect();
+        let weights = MockTe::<F>::zero_weights(&provider_indices)?;
 
         // Each next-committee member decrypts its subshares and
-        // recombines.
+        // recombines them with the shared weights.
         let mut new_shares = Vec::with_capacity(n);
         for (j, kp) in next_keys.iter().enumerate() {
-            let subs: Vec<F> = providers
+            let value = providers
                 .iter()
-                .map(|m| LinearPke::decrypt(&kp.secret, &m.enc_subshares[j]))
-                .collect();
-            let value = shamir::recombine_subshares(&provider_indices, &subs, t)?;
+                .zip(&weights)
+                .map(|(m, &w)| w * LinearPke::decrypt(&kp.secret, &m.enc_subshares[j]))
+                .sum();
             new_shares.push(Some(KeyShare { party: j, value }));
         }
 
         // Public derivation of the next verification keys from the
         // Feldman commitments.
-        let provider_points: Vec<F> =
-            provider_indices.iter().map(|&p| F::from_u64(p as u64 + 1)).collect();
-        let lag = lagrange::basis_at(&provider_points, F::ZERO)
-            .map_err(|e| ProtocolError::Pss(yoso_pss_sharing::PssError::Field(e)))?;
-        let mut vks = Vec::with_capacity(n);
-        for j in 0..n {
-            let x = F::from_u64(j as u64 + 1);
-            let mut vk = F::ZERO;
-            for (m, &li) in providers.iter().zip(&lag) {
-                let mut acc = F::ZERO;
-                for &c in m.commitments.iter().rev() {
-                    acc = acc * x + c;
-                }
-                vk += li * acc;
-            }
-            vks.push(vk);
-        }
-        self.pk.vks = vks;
+        self.pk.vks =
+            MockTe::next_vks(&weights, providers.iter().map(|m| m.commitments.as_slice()), n);
         self.shares = new_shares;
         self.epoch += 1;
         Ok(())
+    }
+
+    /// Member `i`'s re-share message: a degree-`t` sub-sharing of its
+    /// share, with Feldman commitments and subshares encrypted to
+    /// `recipient_pks`, all drawn from the member's child seed. A
+    /// malicious member posts random junk that fails verification.
+    fn deal_reshare(
+        &self,
+        i: usize,
+        share: &KeyShare<F>,
+        seed: u64,
+        outgoing: &Committee,
+        cfg: &ExecutionConfig,
+        recipient_pks: &[PkePublicKey<F>],
+    ) -> PostedReshare<F> {
+        let (n, t) = (self.pk.n, self.pk.t);
+        let mut mrng = rand::rngs::StdRng::seed_from_u64(seed);
+        let prove = cfg.produce_proofs && cfg.partition.owns(i);
+        match outgoing.behavior(i) {
+            Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
+                // Sample the sub-sharing polynomial explicitly so we
+                // can both encrypt subshares and prove.
+                let mut coeffs = Vec::with_capacity(t + 1);
+                coeffs.push(share.value);
+                for _ in 0..t {
+                    coeffs.push(F::random(&mut mrng));
+                }
+                let commitments: Vec<F> = coeffs.iter().map(|&a| a * self.pk.g).collect();
+                let mut enc_subshares = Vec::with_capacity(n);
+                let mut rands = Vec::with_capacity(n);
+                for (m, pk) in recipient_pks.iter().enumerate() {
+                    let x = F::from_u64(m as u64 + 1);
+                    let sub = coeffs.iter().rev().fold(F::ZERO, |acc, &a| acc * x + a);
+                    let (ct, r) = LinearPke::encrypt(&mut mrng, pk, sub);
+                    enc_subshares.push(ct);
+                    rands.push(r);
+                }
+                let valid = if prove {
+                    let proof = reshare_proof(
+                        &mut mrng,
+                        &self.pk,
+                        &commitments,
+                        recipient_pks,
+                        &enc_subshares,
+                        &coeffs,
+                        &rands,
+                    );
+                    verify_reshare_proof(
+                        &self.pk,
+                        i,
+                        &commitments,
+                        recipient_pks,
+                        &enc_subshares,
+                        &proof,
+                    )
+                } else {
+                    true
+                };
+                PostedReshare { from: i, commitments, enc_subshares, valid }
+            }
+            Behavior::Malicious(_) => {
+                let commitments: Vec<F> = (0..=t).map(|_| F::random(&mut mrng)).collect();
+                let enc_subshares: Vec<Ciphertext<F>> = recipient_pks
+                    .iter()
+                    .map(|pk| {
+                        let junk = F::random(&mut mrng);
+                        LinearPke::encrypt(&mut mrng, pk, junk).0
+                    })
+                    .collect();
+                let valid = if prove {
+                    let proof = ReshareProof::<F>::garbage(&mut mrng, n, t);
+                    verify_reshare_proof(
+                        &self.pk,
+                        i,
+                        &commitments,
+                        recipient_pks,
+                        &enc_subshares,
+                        &proof,
+                    )
+                } else {
+                    false
+                };
+                PostedReshare { from: i, commitments, enc_subshares, valid }
+            }
+        }
     }
 }
 
@@ -778,6 +841,18 @@ mod tests {
         chain.handover(&mut r, &board, &outgoing, &cfg(), "x", &next_keys).unwrap();
         let committee = Committee::honest("final", 7);
         assert_eq!(chain.decrypt(&mut r, &board, &committee, &cfg(), "x", &[ct]).unwrap(), vec![m]);
+    }
+
+    #[test]
+    fn handover_rejects_short_next_keys() {
+        let mut r = rng();
+        let board = BulletinBoard::new();
+        let mut chain = TskChain::<F61>::keygen(&mut r, 5, 1).unwrap();
+        let outgoing = Committee::honest("h0", 5);
+        let next_keys: Vec<PkeKeyPair<F61>> = (0..4).map(|_| LinearPke::keygen(&mut r)).collect();
+        let err = chain.handover(&mut r, &board, &outgoing, &cfg(), "x", &next_keys).unwrap_err();
+        assert!(matches!(err, ProtocolError::BadParameters(_)), "{err}");
+        assert_eq!(board.len().unwrap(), 0, "nothing is posted before the check");
     }
 
     #[test]

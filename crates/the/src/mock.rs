@@ -240,19 +240,82 @@ impl<F: PrimeField> MockTe<F> {
             }
             seen[p.party] = true;
         }
-        // d_i = s_i·u lie on the degree-t polynomial u·f(X); interpolate
-        // at 0 to get u·f(0) = s·u.
+        // d_i = s_i·u lie on the degree-t polynomial u·f(X); its value
+        // at 0 is s·u. Surplus partials must lie on the same polynomial.
         let head = &partials[..pk.t + 1];
-        let xs: Vec<F> = head.iter().map(|p| F::from_u64(p.party as u64 + 1)).collect();
+        let xs: Vec<F> = head.iter().map(|p| party_point(p.party)).collect();
         let ys: Vec<F> = head.iter().map(|p| p.value).collect();
-        let poly = lagrange::interpolate(&xs, &ys).map_err(|_| TeError::InconsistentPartials)?;
         for p in &partials[pk.t + 1..] {
-            if poly.eval(F::from_u64(p.party as u64 + 1)) != p.value {
+            let on_poly = lagrange::eval_at(&xs, &ys, party_point(p.party))
+                .map_err(|_| TeError::InconsistentPartials)?;
+            if on_poly != p.value {
                 return Err(TeError::InconsistentPartials);
             }
         }
-        let su = poly.eval(F::ZERO);
-        Ok(ct.v - su)
+        let parties: Vec<usize> = head.iter().map(|p| p.party).collect();
+        Ok(Self::combine_with(ct, &Self::zero_weights(&parties)?, ys))
+    }
+
+    /// The Lagrange weights at 0 for the evaluation points of
+    /// `parties` (party `i` sits at `i + 1`): `f(0) = Σ_j w_j ·
+    /// f(parties[j] + 1)` for every `f` of degree `< parties.len()`.
+    ///
+    /// The weights depend only on the party set, so a caller combining
+    /// many items over the same set computes them once (O(t²)) and
+    /// reuses them: each [`Self::combine_with`] is then O(t).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TeError::InconsistentPartials`] if `parties` repeats
+    /// an index.
+    pub fn zero_weights(parties: &[usize]) -> Result<Vec<F>, TeError> {
+        let xs: Vec<F> = parties.iter().map(|&p| party_point(p)).collect();
+        lagrange::basis_at(&xs, F::ZERO).map_err(|_| TeError::InconsistentPartials)
+    }
+
+    /// `TDec` from precomputed [`Self::zero_weights`]:
+    /// `ct.v − Σ_j w_j · d_j`, where `d_j` is the partial decryption of
+    /// the `j`-th party of the weights' party set.
+    pub fn combine_with(
+        ct: &Ciphertext<F>,
+        weights: &[F],
+        partials: impl IntoIterator<Item = F>,
+    ) -> F {
+        let su: F = weights.iter().zip(partials).map(|(&w, d)| w * d).sum();
+        ct.v - su
+    }
+
+    /// The next committee's verification keys from the Feldman
+    /// commitment vectors of the providers whose [`Self::zero_weights`]
+    /// are `weights`: `vk_j = Σ_i w_i · C_i(j + 1)`.
+    ///
+    /// The commitment vectors are folded with the weights first
+    /// (O(t²)) and the folded polynomial is evaluated at the `n`
+    /// points, O(n·t) in total instead of O(n·t²) — the same field
+    /// values, since evaluation is linear in the coefficients.
+    pub fn next_vks<'a>(
+        weights: &[F],
+        commitments: impl IntoIterator<Item = &'a [F]>,
+        n: usize,
+    ) -> Vec<F>
+    where
+        F: 'a,
+    {
+        let mut folded: Vec<F> = Vec::new();
+        for (&w, cs) in weights.iter().zip(commitments) {
+            if folded.len() < cs.len() {
+                folded.resize(cs.len(), F::ZERO);
+            }
+            for (acc, &c) in folded.iter_mut().zip(cs) {
+                *acc += w * c;
+            }
+        }
+        (0..n)
+            .map(|j| {
+                let x = party_point(j);
+                folded.iter().rev().fold(F::ZERO, |acc, &c| acc * x + c)
+            })
+            .collect()
     }
 
     /// `TEval`: the linear combination `Σ coeffs_i · cts_i` of
@@ -380,24 +443,9 @@ impl<F: PrimeField> MockTe<F> {
             return Err(TeError::NotEnoughPartials { got: msgs.len(), need: pk.t + 1 });
         }
         let head = &msgs[..pk.t + 1];
-        let provider_points: Vec<F> =
-            head.iter().map(|m| F::from_u64(m.from as u64 + 1)).collect();
-        let lag = lagrange::basis_at(&provider_points, F::ZERO)
-            .map_err(|_| TeError::InconsistentPartials)?;
-        // New vk_j = Σ_i lag_i · (committed evaluation of g_i at j+1).
-        let mut vks = Vec::with_capacity(pk.n);
-        for j in 0..pk.n {
-            let x = F::from_u64(j as u64 + 1);
-            let mut vk = F::ZERO;
-            for (msg, &li) in head.iter().zip(&lag) {
-                let mut acc = F::ZERO;
-                for &c in msg.commitments.iter().rev() {
-                    acc = acc * x + c;
-                }
-                vk += li * acc;
-            }
-            vks.push(vk);
-        }
+        let providers: Vec<usize> = head.iter().map(|m| m.from).collect();
+        let weights = Self::zero_weights(&providers)?;
+        let vks = Self::next_vks(&weights, head.iter().map(|m| m.commitments.as_slice()), pk.n);
         Ok(PublicKey { n: pk.n, t: pk.t, g: pk.g, h: pk.h, vks })
     }
 
@@ -463,6 +511,11 @@ impl<F: PrimeField> MockTe<F> {
             shares.iter().take(pk.t + 1).map(|s| Self::partial_decrypt(s, ct)).collect();
         Self::combine(pk, ct, &partials)
     }
+}
+
+/// The evaluation point of 0-based party `i`: `i + 1`.
+fn party_point<F: PrimeField>(i: usize) -> F {
+    F::from_u64(i as u64 + 1)
 }
 
 /// Converts key shares to the `yoso-pss-sharing` share type (used by
