@@ -1,4 +1,4 @@
-//! Hot-path smoke benchmark (no criterion, single short run).
+//! Hot-path smoke benchmark (single short run per column).
 //!
 //! Times the inner loops this repo's performance work targets — packed
 //! dealing, packed reconstruction, Paillier encryption, committee
@@ -327,7 +327,7 @@ fn bench_board(batch: usize) -> BoardRow {
     // One server per mode for all its iterations (spawning a listener
     // per iteration would swamp the frame cost being measured). Both
     // TCP modes post through the same capped chunking (see
-    // [`TCP_BENCH_FRAME_CAP`]); only the ack discipline differs.
+    // [`TCP_BENCH_FRAME_CAP`]); only the pipelining window differs.
     let lockstep_opts = yoso_runtime::TcpOptions {
         pipeline_window: 1,
         max_post_frame_bytes: TCP_BENCH_FRAME_CAP,

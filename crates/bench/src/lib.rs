@@ -96,6 +96,13 @@ pub fn measure_baseline(
     run.elements("online/mult") as f64 / run.mul_gates as f64
 }
 
+/// Serializes this crate's tests that run protocol executions: the
+/// hot-path allocation counter ([`yoso_field::allocstats`]) is
+/// process-global, so a concurrent run would leak into another test's
+/// counter deltas.
+#[cfg(test)]
+pub(crate) static PROTOCOL_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,6 +116,9 @@ mod tests {
 
     #[test]
     fn measured_costs_are_positive_and_ordered() {
+        let _guard = PROTOCOL_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let params = gap_params(12, 0.25);
         let (online, offline) = measure_packed(1, params, 2, 1);
         assert!(online > 0.0);

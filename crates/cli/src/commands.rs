@@ -125,9 +125,6 @@ fn prepare_run(opts: &Opts) -> Result<PreparedRun, String> {
         ExecutionConfig::default()
     }
     .with_threads(threads);
-    if opts.contains_key("dist-transform") {
-        config = config.with_dist_transform();
-    }
     if let Some(board) = opts.get("board") {
         config = config.with_board(BoardBackend::Tcp(parse_board_addr(board)?));
     }
@@ -286,9 +283,6 @@ fn spawn_workers(opts: &Opts, workers: usize) -> Result<(), String> {
         }
         if opts.contains_key("no-proofs") {
             cmd.arg("--no-proofs");
-        }
-        if opts.contains_key("dist-transform") {
-            cmd.arg("--dist-transform");
         }
         // Children report through their exit status; only the leader
         // prints the run summary.

@@ -123,17 +123,12 @@ RUN OPTIONS:
   --threads N       worker threads for triple/gate fan-out
                     (any value yields a byte-identical transcript)       [1]
   --no-proofs       skip NIZK computation (metering unchanged)
-  --dist-transform  distribute the offline Step-4 packing transforms
-                    across the worker fleet (DESIGN §13): each worker
-                    evaluates only its owned share rows and the batch
-                    results are exchanged as TransformSlice postings;
-                    transcripts stay byte-identical at any worker count
   --board ADDR      post to a shared board-server (tcp://HOST:PORT)
                     instead of the in-process board
   --board-window N  post frames kept in flight per flush on a TCP
-                    board: 1 = strict lockstep (one round trip per
-                    frame), larger = pipelined with one coalesced ack
-                    per window; never affects the transcript  [transport default, 32]
+                    board: 1 = lockstep (every frame acked before
+                    the next is sent), larger = that many frames per
+                    ack; never affects the transcript  [transport default, 32]
   --spawn-workers N run role-sharded: in-tree board server + N local
                     worker processes (this process leads as worker 0)
 

@@ -119,7 +119,11 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
     use rand::SeedableRng;
 
     let n = committee.n();
-    assert_eq!(role_keys.len(), n, "one role key per member");
+    if role_keys.len() != n {
+        return Err(ProtocolError::BadParameters(format!(
+            "a {n}-member DKG committee needs one role key per member"
+        )));
+    }
     // The base g is a public constant derived from the DKG domain.
     let g = derive_base::<F>();
     let recipient_pks: Vec<PkePublicKey<F>> = role_keys.iter().map(|kp| kp.public).collect();
@@ -223,7 +227,7 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
         .collect();
 
     let pk = PublicKey { n, t, g, h, vks };
-    Ok(TskChain::from_parts(pk, shares))
+    TskChain::from_parts(pk, shares)
 }
 
 /// Derives the public base `g ≠ 0` from the DKG domain separator.
@@ -273,6 +277,19 @@ mod tests {
         }
         // DKG traffic was metered.
         assert!(board.meter().phase("setup/dkg").messages == n as u64);
+    }
+
+    #[test]
+    fn dkg_rejects_role_key_count_mismatch() {
+        let mut r = rng();
+        let board = BulletinBoard::new();
+        let keys = role_keys(&mut r, 6);
+        let committee = Committee::honest("dkg", 7);
+        let cfg = ExecutionConfig::default();
+        let err = run_dkg::<F61, _>(&mut r, &board, &committee, &keys, 3, &cfg).unwrap_err();
+        assert!(matches!(err, ProtocolError::BadParameters(_)), "{err}");
+        // Rejected before any posting.
+        assert_eq!(board.len().unwrap(), 0);
     }
 
     #[test]

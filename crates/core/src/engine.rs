@@ -113,18 +113,6 @@ pub struct ExecutionConfig {
     /// members' posts to the shared board. The interleaved transcript
     /// across workers is byte-identical to a solo run.
     pub partition: RolePartition,
-    /// Distribute the offline Step-4 packing transforms across the
-    /// worker fleet (default off). Each worker evaluates only the
-    /// dealing rows of the members its `partition` owns and publishes
-    /// them as [`crate::messages::Post::TransformSlice`] records; the
-    /// batch is recombined from the board after a mid-round exchange
-    /// (see [`crate::disttransform`]). The computed ciphertexts are
-    /// bit-identical to the replicated path; the transcript gains `n`
-    /// member-ordered transform records per batch, identical at every
-    /// worker count. Requires `audit_board` when combined with a
-    /// non-solo partition (workers read the slices back off the
-    /// board).
-    pub dist_transform: bool,
     /// Stream the transcript instead of materializing it (default
     /// off). When set, per-phase statistics and a 64-bit transcript
     /// hash are folded incrementally from sealed board rounds at stage
@@ -149,7 +137,6 @@ impl Default for ExecutionConfig {
             board: BoardBackend::InProcess,
             board_window: 0,
             partition: RolePartition::solo(),
-            dist_transform: false,
             streaming: false,
         }
     }
@@ -197,14 +184,6 @@ impl ExecutionConfig {
     pub fn with_streaming(mut self) -> Self {
         self.streaming = true;
         self.audit_board = true;
-        self
-    }
-
-    /// Enables the distributed Step-4 packing transforms: per-worker
-    /// transform work shrinks to the owned member rows, at the cost of
-    /// `n` transform-slice board records per batch.
-    pub fn with_dist_transform(mut self) -> Self {
-        self.dist_transform = true;
         self
     }
 

@@ -36,14 +36,6 @@
 //! board, so there is no shared transcript for a [`crate::
 //! RolePartition`] to synchronize on. Sharding it would first require
 //! threading an external board through [`ItEngine::run`].
-//!
-//! The *transform* work of the degree-reduction cliff is sliceable
-//! today, though: [`ItEngine::with_transform_slices`] routes every
-//! member dealing through [`PackedSharing::share_slice_into`] in
-//! partition-sized row ranges — the in-process analogue of the
-//! distributed transform (DESIGN §13), with bit-identical share
-//! values at any slice count (each slice replays the member's child
-//! seed, so the union equals the full deal).
 
 use rand::{Rng, SeedableRng};
 
@@ -266,7 +258,6 @@ impl<F: PrimeField> ReshareTables<F> {
 #[derive(Debug, Clone, Copy)]
 pub struct ItEngine {
     params: ProtocolParams,
-    transform_slices: usize,
 }
 
 impl ItEngine {
@@ -284,56 +275,7 @@ impl ItEngine {
                 params.n
             )));
         }
-        Ok(ItEngine { params, transform_slices: 1 })
-    }
-
-    /// Splits every re-share/degree-reduction dealing into `slices`
-    /// contiguous row ranges computed through the slice-dealing API
-    /// ([`PackedSharing::share_slice_into`]) — the in-process analogue
-    /// of the distributed transform. `1` (the default) keeps the full
-    /// transform deal. Any value produces bit-identical shares: each
-    /// slice replays the member's child seed, so the stitched union
-    /// equals the full deal.
-    pub fn with_transform_slices(mut self, slices: usize) -> Self {
-        self.transform_slices = slices.max(1);
-        self
-    }
-
-    /// One member's re-share dealing, sliced per
-    /// [`Self::with_transform_slices`]. The seed is the member's child
-    /// seed drawn from the parent stream; every slice re-seeds from it
-    /// so the tail randomness (drawn in full per slice) is identical
-    /// and the union of slices is bit-for-bit the full deal.
-    fn deal_distributed<F: PrimeField>(
-        &self,
-        scheme: &PackedSharing<F>,
-        seed: u64,
-        vector: &[F],
-        degree: usize,
-    ) -> Result<PackedShares<F>, ProtocolError> {
-        if self.transform_slices == 1 {
-            let mut mrng = rand::rngs::StdRng::seed_from_u64(seed);
-            return Ok(scheme.share(&mut mrng, vector, degree)?);
-        }
-        let n = self.params.n;
-        let mut values: Vec<F> = Vec::with_capacity(n);
-        let mut slice = Vec::new();
-        let mut scratch = yoso_pss_sharing::PssScratch::default();
-        for w in 0..self.transform_slices {
-            let part = crate::RolePartition::of_workers(w, self.transform_slices, n);
-            let mut mrng = rand::rngs::StdRng::seed_from_u64(seed);
-            scheme.share_slice_into(
-                &mut mrng,
-                vector,
-                degree,
-                part.lo(),
-                part.hi(),
-                &mut slice,
-                &mut scratch,
-            )?;
-            values.extend_from_slice(&slice);
-        }
-        Ok(PackedShares::from_values(degree, values))
+        Ok(ItEngine { params })
     }
 
     /// Runs the program (semi-honest, honest-but-curious committees).
@@ -491,7 +433,7 @@ impl ItEngine {
             let s_i = source.share_of(i).value;
             let vector: Vec<F> =
                 tables.recomb.iter().map(|w| w[i] * s_i).collect();
-            let dealt = self.deal_distributed(scheme, seed, &vector, d)?;
+            let dealt = scheme.share(&mut rand::rngs::StdRng::seed_from_u64(seed), &vector, d)?;
             board.post(
                 RoleId::new(format!("it-committee-{committee_idx}"), i),
                 Post::Contribution {
@@ -532,7 +474,7 @@ impl ItEngine {
             let seed = rng.next_u64();
             let s_i = source.share_of(i).value;
             let vector = vec![tables.lane_sum[i] * s_i; self.params.k];
-            let dealt = self.deal_distributed(scheme, seed, &vector, d)?;
+            let dealt = scheme.share(&mut rand::rngs::StdRng::seed_from_u64(seed), &vector, d)?;
             board.post(
                 RoleId::new(format!("it-committee-{committee_idx}"), i),
                 Post::Contribution {
@@ -690,39 +632,6 @@ mod tests {
         let expected = program.evaluate(&inputs).unwrap();
         let run = engine.run(&mut rng(3), &program, &inputs).unwrap();
         assert_eq!(run.outputs, expected);
-    }
-
-    #[test]
-    fn sliced_transform_dealing_is_bit_identical() {
-        // The degree-reduction cliff through the slice-dealing API
-        // must be invisible: same seed, any slice count (even uneven
-        // splits and slice counts above n), identical outputs and
-        // identical metered traffic.
-        let params = ProtocolParams::new(14, 2, 3).unwrap();
-        let program = LaneProgram {
-            k: 3,
-            ops: vec![
-                LaneOp::Input { client: 0 },
-                LaneOp::Input { client: 1 },
-                LaneOp::Mul(0, 1),
-                LaneOp::SumLanes(2),
-                LaneOp::Output(3, 0),
-            ],
-        };
-        let inputs = vec![
-            vec![vec![f(1), f(2), f(3)]],
-            vec![vec![f(4), f(5), f(6)]],
-        ];
-        let base = ItEngine::new(params)
-            .unwrap()
-            .run(&mut rng(17), &program, &inputs)
-            .unwrap();
-        for slices in [2usize, 3, 4, 8, 20] {
-            let engine = ItEngine::new(params).unwrap().with_transform_slices(slices);
-            let run = engine.run(&mut rng(17), &program, &inputs).unwrap();
-            assert_eq!(run.outputs, base.outputs, "slices = {slices}");
-            assert_eq!(run.phases, base.phases, "slices = {slices}");
-        }
     }
 
     #[test]

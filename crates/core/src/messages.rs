@@ -15,11 +15,8 @@ use yoso_runtime::transport::{BoardError, WireCursor, WireMessage};
 
 /// What a posting contains (audit record on the board).
 ///
-/// Most variants are pure size descriptors (the simulation keeps the
-/// actual protocol data in process); [`Post::TransformSlice`] also
-/// carries its payload on the wire, because in a distributed-transform
-/// run the *other* workers need the values to recombine the batch
-/// (DESIGN §13).
+/// Every variant is a pure size descriptor: the simulation keeps the
+/// actual protocol data in process.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Post {
     /// A `TEnc` contribution with its encryption proof
@@ -52,19 +49,6 @@ pub enum Post {
     /// Baseline protocol: a partial decryption in the per-gate
     /// multiplication.
     BaselinePartialDec,
-    /// One committee member's distributed-transform row for an offline
-    /// pack batch (DESIGN §13): the member's α/β/γ packed-share
-    /// ciphertexts, fused into one posting so the posting sequence is
-    /// one record per member at any worker count. The payload is the
-    /// canonical `u64` encodings of the ciphertext `(u, v)` pairs —
-    /// public data under the mock TE, so posting it leaks nothing.
-    TransformSlice {
-        /// The committee member index (the share row).
-        row: u32,
-        /// Canonical field-element encodings of the row's ciphertext
-        /// components, in `[αu, αv, βu, βv, γu, γv]` order.
-        values: Vec<u64>,
-    },
 }
 
 impl WireMessage for Post {
@@ -89,17 +73,6 @@ impl WireMessage for Post {
             Post::MulShare => out.push(5),
             Post::BaselineInput => out.push(6),
             Post::BaselinePartialDec => out.push(7),
-            Post::TransformSlice { row, values } => {
-                out.push(8);
-                out.extend_from_slice(&row.to_le_bytes());
-                let count = u32::try_from(values.len()).map_err(|_| {
-                    BoardError::Protocol("transform slice too long for wire".into())
-                })?;
-                out.extend_from_slice(&count.to_le_bytes());
-                for v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
         }
         Ok(())
     }
@@ -126,15 +99,6 @@ impl WireMessage for Post {
             5 => Ok(Post::MulShare),
             6 => Ok(Post::BaselineInput),
             7 => Ok(Post::BaselinePartialDec),
-            8 => {
-                let row = cur.u32()?;
-                let count = cur.u32()? as usize;
-                let mut values = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    values.push(cur.u64()?);
-                }
-                Ok(Post::TransformSlice { row, values })
-            }
             other => Err(BoardError::Protocol(format!("unknown post tag {other}"))),
         }
     }
@@ -194,6 +158,7 @@ pub const fn to_bytes(elements: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constants_are_consistent() {
@@ -218,8 +183,6 @@ mod tests {
             Post::MulShare,
             Post::BaselineInput,
             Post::BaselinePartialDec,
-            Post::TransformSlice { row: 3, values: vec![1, u64::MAX, 0, 7, 9, 11] },
-            Post::TransformSlice { row: 0, values: Vec::new() },
         ];
         for p in posts {
             let mut buf = Vec::new();
@@ -235,8 +198,30 @@ mod tests {
         assert!(Post::decode(&mut cur).is_err());
         let mut cur = WireCursor::new(&[0, 9, 0, 0, 0, 0]);
         assert!(Post::decode(&mut cur).is_err());
-        // TransformSlice truncated mid-payload.
+        // Tag 8 is retired: a frame carrying it is a protocol error.
         let mut cur = WireCursor::new(&[8, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 3]);
-        assert!(Post::decode(&mut cur).is_err());
+        assert!(matches!(Post::decode(&mut cur), Err(BoardError::Protocol(_))));
+    }
+
+    proptest! {
+        /// Hostile input: no byte string makes the decoder panic, and
+        /// every successful decode re-encodes to exactly the bytes it
+        /// consumed. The second buffer forces a valid-range tag so the
+        /// `Ok` branch is exercised, not just the unknown-tag one.
+        #[test]
+        fn post_decode_is_total_and_canonical(
+            bytes in prop::collection::vec(any::<u8>(), 0..=64),
+            tag in 0u8..10,
+        ) {
+            let tagged: Vec<u8> = std::iter::once(tag).chain(bytes.iter().copied()).collect();
+            for buf in [&bytes, &tagged] {
+                let mut cur = WireCursor::new(buf);
+                if let Ok(post) = Post::decode(&mut cur) {
+                    let mut out = Vec::new();
+                    post.encode(&mut out).unwrap();
+                    prop_assert_eq!(&out[..], &buf[..cur.position()]);
+                }
+            }
+        }
     }
 }

@@ -432,10 +432,6 @@ pub fn pack_ciphertexts<F: PrimeField>(
         return Err(ProtocolError::Invariant("packing scheme width does not match the wire count"));
     }
     let rows = scheme.dealing_basis_rows(t + k_b - 1)?;
-    // Replicated-path transform work: every row is a ciphertext dot
-    // product, 2·(k_b + t) field multiplications — same ledger as the
-    // distributed slice path, so the bench compares like for like.
-    yoso_field::transformstats::bump_slice_muls((rows.len() * 2 * (k_b + t)) as u64);
     let mut all_cts: Vec<Ciphertext<F>> = wire_cts.to_vec();
     all_cts.extend_from_slice(helper_cts);
     rows.into_iter()
@@ -633,54 +629,27 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
                 ))
             })
             .collect::<Result<_, _>>()?;
-        let mut gather_helpers = |rng: &mut R| -> Result<Vec<Ciphertext<F>>, ProtocolError> {
-            let mut helpers = Vec::with_capacity(t);
-            for _ in 0..t {
-                helpers.push(summed_contribution(
-                    rng,
-                    sb,
-                    &c3,
-                    cfg,
-                    &tpk,
-                    phase4,
-                    ContributionStep::PackHelper,
-                    &mut contrib,
-                )?);
-            }
-            Ok(helpers)
-        };
-        if cfg.dist_transform {
-            // Distributed transform (DESIGN §13): helpers are gathered
-            // in the same α → β → Γ order as the replicated path (the
-            // RNG stream — and therefore every computed value — is
-            // identical), then each worker evaluates only its owned
-            // dealing rows and the batch is recombined off the board.
-            let helpers_a = gather_helpers(rng)?;
-            let helpers_b = gather_helpers(rng)?;
-            let helpers_g = gather_helpers(rng)?;
-            let [alpha, beta, gamma] = crate::disttransform::dist_pack_batch(
-                sb,
-                scheme,
-                t,
-                [
-                    crate::disttransform::PackInputs { wires: &alpha_cts, helpers: &helpers_a },
-                    crate::disttransform::PackInputs { wires: &beta_cts, helpers: &helpers_b },
-                    crate::disttransform::PackInputs { wires: &gamma_in, helpers: &helpers_g },
-                ],
-                crate::disttransform::DIST_PACK_PHASE,
-            )?;
-            packed.push((alpha, beta, gamma));
-        } else {
-            let mut pack_one =
-                |rng: &mut R, wires_cts: &[Ciphertext<F>]| -> Result<Vec<Ciphertext<F>>, ProtocolError> {
-                    let helpers = gather_helpers(rng)?;
-                    pack_ciphertexts(scheme, t, wires_cts, &helpers)
-                };
-            let alpha = pack_one(rng, &alpha_cts)?;
-            let beta = pack_one(rng, &beta_cts)?;
-            let gamma = pack_one(rng, &gamma_in)?;
-            packed.push((alpha, beta, gamma));
-        }
+        let mut pack_one =
+            |rng: &mut R, wires_cts: &[Ciphertext<F>]| -> Result<Vec<Ciphertext<F>>, ProtocolError> {
+                let mut helpers = Vec::with_capacity(t);
+                for _ in 0..t {
+                    helpers.push(summed_contribution(
+                        rng,
+                        sb,
+                        &c3,
+                        cfg,
+                        &tpk,
+                        phase4,
+                        ContributionStep::PackHelper,
+                        &mut contrib,
+                    )?);
+                }
+                pack_ciphertexts(scheme, t, wires_cts, &helpers)
+            };
+        let alpha = pack_one(rng, &alpha_cts)?;
+        let beta = pack_one(rng, &beta_cts)?;
+        let gamma = pack_one(rng, &gamma_in)?;
+        packed.push((alpha, beta, gamma));
     }
 
     // ---- Step 5: re-encrypt input-wire masks to client KFFs.

@@ -210,9 +210,22 @@ impl<F: PrimeField> TskChain<F> {
 
     /// Builds a chain from an externally generated key (e.g. the
     /// dealer-free DKG of [`crate::dkg`]).
-    pub fn from_parts(pk: PublicKey<F>, shares: Vec<Option<KeyShare<F>>>) -> Self {
-        assert_eq!(pk.n, shares.len(), "one share slot per member");
-        TskChain { pk, shares, epoch: 0, leak: LeakLog::new() }
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::BadParameters`] unless there is exactly
+    /// one share slot per member (`shares.len() == pk.n`).
+    pub fn from_parts(
+        pk: PublicKey<F>,
+        shares: Vec<Option<KeyShare<F>>>,
+    ) -> Result<Self, ProtocolError> {
+        if shares.len() != pk.n {
+            return Err(ProtocolError::BadParameters(format!(
+                "a {}-member key needs one share slot per member",
+                pk.n
+            )));
+        }
+        Ok(TskChain { pk, shares, epoch: 0, leak: LeakLog::new() })
     }
 
     /// Attaches an adversarial-view recorder: corrupted (malicious or
@@ -737,6 +750,14 @@ mod tests {
 
     fn cfg() -> ExecutionConfig {
         ExecutionConfig::default()
+    }
+
+    #[test]
+    fn from_parts_rejects_share_count_mismatch() {
+        let (pk, shares) = MockTe::<F61>::keygen(&mut rng(), 7, 2).unwrap();
+        let slots: Vec<Option<KeyShare<F61>>> = shares.into_iter().take(6).map(Some).collect();
+        let err = TskChain::from_parts(pk, slots).unwrap_err();
+        assert!(matches!(err, ProtocolError::BadParameters(_)), "{err}");
     }
 
     #[test]

@@ -144,7 +144,7 @@ fn handover_dealing_fans_out_identically() {
     let (pk, shares) = MockTe::<F61>::keygen(&mut r, n, t).unwrap();
     let mut slots: Vec<Option<KeyShare<F61>>> = shares.into_iter().map(Some).collect();
     slots[5] = None;
-    let chain = TskChain::from_parts(pk, slots);
+    let chain = TskChain::from_parts(pk, slots).unwrap();
     let m = F61::from(72u64);
     let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
     let next = handover_at_thread_counts(&chain, &r, &committee("h0", &layout));
@@ -174,7 +174,7 @@ proptest! {
             .zip(&layout)
             .map(|(s, f)| if matches!(f, Some(Fault::Crashed)) { None } else { Some(*s) })
             .collect();
-        let mut chain = TskChain::from_parts(pk.clone(), slots);
+        let mut chain = TskChain::from_parts(pk.clone(), slots).unwrap();
         let members = committee("c0", &layout);
         let cfg = ExecutionConfig::default();
         let board = BulletinBoard::new();

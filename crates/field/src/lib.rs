@@ -45,7 +45,6 @@ pub mod lagrange;
 pub mod ntt;
 mod poly;
 mod smallfp;
-pub mod transformstats;
 
 pub use domain::EvalDomain;
 pub use element::{F61, PrimeField};

@@ -91,9 +91,6 @@ pub struct NttDomain<F: PrimeField> {
     inv_powers: Vec<F>,
     /// The evaluation points `shift · ω^i` in index order.
     points: Vec<F>,
-    /// Field multiplications per full transform (`N · Σ rᵢ`), reported
-    /// to [`crate::transformstats`] on every forward/inverse run.
-    butterfly_ops: u64,
 }
 
 impl<F: PrimeField> NttDomain<F> {
@@ -203,7 +200,6 @@ impl<F: PrimeField> NttDomain<F> {
             inv_acc *= root_inv;
         }
         let points = powers.iter().map(|&p| shift * p).collect();
-        let butterfly_ops = (size as u64) * radices.iter().map(|&r| r as u64).sum::<u64>();
         Ok(NttDomain {
             size,
             root,
@@ -214,7 +210,6 @@ impl<F: PrimeField> NttDomain<F> {
             powers,
             inv_powers,
             points,
-            butterfly_ops,
         })
     }
 
@@ -288,7 +283,6 @@ impl<F: PrimeField> NttDomain<F> {
     /// points: `staged` holds the coset-scaled input when needed,
     /// `work` is the recursion buffer.
     fn forward_impl(&self, coeffs: &[F], out: &mut Vec<F>, staged: &mut Vec<F>, work: &mut Vec<F>) {
-        crate::transformstats::bump_butterflies(self.butterfly_ops);
         ensure_filled(out, self.size, F::ZERO);
         ensure_filled(work, self.size, F::ZERO);
         // Coset evaluation: f(shift·ω^j) = Σ (a_i·shift^i)·ω^{ij}.
@@ -336,42 +330,6 @@ impl<F: PrimeField> NttDomain<F> {
         Ok(())
     }
 
-    /// Evaluates a polynomial of degree `< size` at the domain points
-    /// with indices `lo..hi` only, writing `hi − lo` values to `out`
-    /// (`out[j] = f(points[lo + j])`).
-    ///
-    /// This is the slice half of the distributed transform (DESIGN
-    /// §13): a worker that owns rows `lo..hi` of a dealing pays
-    /// `(hi − lo) · deg` Horner multiplications instead of the full
-    /// `N log N` transform. Exactness (module docs) makes the result
-    /// *bit-identical* to the matching entries of
-    /// [`NttDomain::evaluate`]: both are canonical values of the same
-    /// unique polynomial at the same points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FieldError::LengthMismatch`] if more than `size`
-    /// coefficients are supplied or the range exceeds the domain.
-    pub fn evaluate_range_into(
-        &self,
-        coeffs: &[F],
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<F>,
-    ) -> Result<(), FieldError> {
-        if coeffs.len() > self.size || lo > hi || hi > self.size {
-            return Err(FieldError::LengthMismatch { xs: self.size, ys: coeffs.len().max(hi) });
-        }
-        crate::transformstats::bump_slice_muls((hi - lo) as u64 * coeffs.len() as u64);
-        ensure_filled(out, hi - lo, F::ZERO);
-        for (o, &x) in out.iter_mut().zip(&self.points[lo..hi]) {
-            // Horner's rule: exact arithmetic on canonical elements, so
-            // the value equals the full transform's output bit for bit.
-            *o = coeffs.iter().rev().fold(F::ZERO, |acc, &c| acc * x + c);
-        }
-        Ok(())
-    }
-
     /// Inverse transform: recovers the full coefficient vector (length
     /// `size`, untrimmed) of the unique polynomial of degree `< size`
     /// with `f(points[i]) = evals[i]`.
@@ -401,7 +359,6 @@ impl<F: PrimeField> NttDomain<F> {
         if evals.len() != self.size {
             return Err(FieldError::LengthMismatch { xs: self.size, ys: evals.len() });
         }
-        crate::transformstats::bump_butterflies(self.butterfly_ops);
         let NttScratch { staged, work, .. } = scratch;
         ensure_filled(staged, self.size, F::ZERO);
         ensure_filled(work, self.size, F::ZERO);
@@ -793,35 +750,6 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(sorted, (0..n).collect::<Vec<_>>(), "radices {radices:?}");
         }
-    }
-
-    #[test]
-    fn evaluate_range_is_bit_identical_to_full_transform() {
-        let mut r = rng(16);
-        for size in [2usize, 6, 18, 33, 45] {
-            let d = NttDomain::<F61>::coset(size, F61::from(9u64)).unwrap();
-            let p = Poly::<F61>::random(&mut r, size / 2);
-            let full = d.evaluate(p.coeffs()).unwrap();
-            // Every split of the index space, including empty slices,
-            // reproduces the matching window of the full transform.
-            for lo in 0..=size {
-                for hi in lo..=size {
-                    let mut out = Vec::new();
-                    d.evaluate_range_into(p.coeffs(), lo, hi, &mut out).unwrap();
-                    assert_eq!(out, &full[lo..hi], "size {size} range {lo}..{hi}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn evaluate_range_rejects_bad_ranges() {
-        let d = NttDomain::<F61>::new(6).unwrap();
-        let coeffs = [F61::ONE; 3];
-        let mut out = Vec::new();
-        assert!(d.evaluate_range_into(&coeffs, 0, 7, &mut out).is_err());
-        assert!(d.evaluate_range_into(&coeffs, 4, 2, &mut out).is_err());
-        assert!(d.evaluate_range_into(&[F61::ONE; 7], 0, 6, &mut out).is_err());
     }
 
     #[test]

@@ -183,12 +183,9 @@ pub const PROTOCOL_CRATES: [&str; 5] = ["core", "the", "pss", "crypto", "sortiti
 
 /// Modules whose control flow feeds the bulletin-board transcript; any
 /// nondeterminism here breaks the byte-identical-transcript guarantee.
-pub const TRANSCRIPT_MODULES: [&str; 9] = [
+pub const TRANSCRIPT_MODULES: [&str; 8] = [
     "crates/core/src/online.rs",
     "crates/core/src/offline.rs",
-    // The distributed transform posts per-member slice records whose
-    // order and values every worker must reproduce bit-for-bit.
-    "crates/core/src/disttransform.rs",
     "crates/core/src/parallel.rs",
     "crates/field/src/ntt.rs",
     // The board transports carry every posting of the transcript:

@@ -120,7 +120,7 @@ fn allow_flag_downgrades_rule() {
 #[test]
 fn workspace_itself_is_lint_clean() {
     // The repo root is two levels up from the lint crate. This is the
-    // acceptance criterion: the tool exits 0 on the real workspace.
+    // acceptance check: the tool exits 0 on the real workspace.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_lint(&["--root", root.to_str().expect("utf-8 path"), "--quiet"]);
     assert!(
@@ -143,7 +143,7 @@ fn taint_posting_fixture_fails_where_token_rules_are_blind() {
     let text = stdout(&out);
     assert!(text.contains("[taint-flow]"), "{text}");
     assert!(text.contains("payload"), "{text}");
-    // The negative half of the acceptance criterion: the rename hides
+    // The negative half of the acceptance check: the rename hides
     // the leak from the PR 2 token rules, which must stay silent.
     assert!(!text.contains("[secret-format]"), "{text}");
     assert!(!text.contains("[secret-serialize]"), "{text}");

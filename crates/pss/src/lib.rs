@@ -187,17 +187,6 @@ impl<F: PrimeField> std::fmt::Debug for PackedShares<F> {
 }
 
 impl<F: PrimeField> PackedShares<F> {
-    /// Assembles a sharing from externally produced share values —
-    /// the recombination half of the distributed transform (DESIGN
-    /// §13), where slice workers each compute a contiguous range of
-    /// the shares ([`PackedSharing::share_slice_into`]) and the union
-    /// is stitched back together in party order. The values are taken
-    /// as-is; callers are responsible for `values[i]` being party
-    /// `i`'s share of a degree-`degree` sharing.
-    pub fn from_values(degree: usize, values: Vec<F>) -> Self {
-        PackedShares { degree, values }
-    }
-
     /// The sharing degree.
     pub fn degree(&self) -> usize {
         self.degree
@@ -833,7 +822,6 @@ impl<F: PrimeField> PackedSharing<F> {
     /// Evaluates the polynomial pinned by `ys` on `domain` at every
     /// party point via cached recombination vectors, into `out`.
     fn values_from_domain_into(&self, domain: &EvalDomain<F>, ys: &[F], out: &mut Vec<F>) {
-        yoso_field::transformstats::bump_slice_muls((self.n * ys.len()) as u64);
         ensure_filled(out, self.n, F::ZERO);
         for (slot, &p) in out.iter_mut().zip(&self.party_points) {
             *slot = dot(&domain.basis_at(p), ys);
@@ -857,125 +845,6 @@ impl<F: PrimeField> PackedSharing<F> {
         let domain = self.share_domain(degree)?;
         Ok(self
             .party_points
-            .iter()
-            .map(|&p| domain.basis_at(p).to_vec())
-            .collect())
-    }
-
-    /// Slice variant of [`Self::share_into`]: deals the same sharing
-    /// but writes only the shares of parties `lo..hi` into `out`
-    /// (`out[j]` is party `lo + j`'s share).
-    ///
-    /// This is the worker half of the distributed transform (DESIGN
-    /// §13): randomness is drawn *exactly* as in [`Self::share_into`]
-    /// (all `degree + 1 − k` tail values, regardless of the slice), so
-    /// any worker replaying the same RNG state computes a slice of the
-    /// identical sharing — the union of slices over a partition of
-    /// `0..n` is bit-identical to the full deal. The full-domain
-    /// forward transform is replaced by per-point Horner evaluation of
-    /// the shared coefficient vector, `O((hi − lo) · m)` instead of
-    /// `O(N log N)`, with bit-identical values (exact arithmetic on
-    /// the same unique polynomial).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::share_into`], plus
-    /// [`PssError::Field`] with a length mismatch if `lo > hi` or
-    /// `hi > n`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn share_slice_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        secrets: &[F],
-        degree: usize,
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<F>,
-        scratch: &mut PssScratch<F>,
-    ) -> Result<(), PssError> {
-        if secrets.len() != self.k {
-            return Err(PssError::SecretCountMismatch { got: secrets.len(), expected: self.k });
-        }
-        self.check_degree(degree)?;
-        if lo > hi || hi > self.n {
-            return Err(PssError::Field(FieldError::LengthMismatch { xs: self.n, ys: hi }));
-        }
-        ensure_filled(&mut scratch.ys, degree + 1, F::ZERO);
-        scratch.ys[..self.k].copy_from_slice(secrets);
-        for slot in &mut scratch.ys[self.k..] {
-            *slot = F::random(rng);
-        }
-        self.deal_values_slice(degree, lo, hi, out, scratch)
-    }
-
-    /// Computes shares `lo..hi` of the polynomial pinned by the dealing
-    /// values staged in `scratch.ys` — the slice core shared by
-    /// [`Self::share_slice_into`].
-    fn deal_values_slice(
-        &self,
-        degree: usize,
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<F>,
-        scratch: &mut PssScratch<F>,
-    ) -> Result<(), PssError> {
-        let PssScratch { ys, natural, coeffs, ntt, .. } = scratch;
-        if let Some(plan) = &self.ntt {
-            let m = degree + 1;
-            if m >= NTT_DEAL_CROSSOVER && plan.chain.contains(&m) {
-                // Same prefix interpolation as the full transform deal,
-                // then Horner at each owned party point instead of the
-                // full-domain forward pass. Horner over the untrimmed
-                // length-m coefficient vector evaluates the same unique
-                // polynomial exactly, so each value is bit-identical to
-                // the full path's `evals[positions[k + i]]`.
-                let full_size = plan.full.len();
-                let step = full_size / m;
-                let prefix = plan.prefix_domain(m)?;
-                ensure_filled(natural, m, F::ZERO);
-                for (i, &y) in ys.iter().enumerate() {
-                    natural[plan.positions[i] / step] = y;
-                }
-                prefix.inverse_into(natural, coeffs, ntt)?;
-                yoso_field::transformstats::bump_slice_muls(((hi - lo) * m) as u64);
-                ensure_filled(out, hi - lo, F::ZERO);
-                for (slot, &p) in out.iter_mut().zip(&self.party_points[lo..hi]) {
-                    *slot = horner(coeffs, p);
-                }
-                return Ok(());
-            }
-        }
-        let domain = self.share_domain(degree)?;
-        yoso_field::transformstats::bump_slice_muls(((hi - lo) * ys.len()) as u64);
-        ensure_filled(out, hi - lo, F::ZERO);
-        for (slot, &p) in out.iter_mut().zip(&self.party_points[lo..hi]) {
-            *slot = dot(&domain.basis_at(p), ys);
-        }
-        Ok(())
-    }
-
-    /// Slice variant of [`Self::dealing_basis_rows`]: the rows of
-    /// parties `lo..hi` only. A worker applying the dealing map to
-    /// homomorphic ciphertexts materialises just the rows it owns —
-    /// `O((hi − lo) · m)` row elements instead of `O(n · m)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PssError::BadDegree`] outside `[k−1, n−1]`, or
-    /// [`PssError::Field`] with a length mismatch if `lo > hi` or
-    /// `hi > n`.
-    pub fn dealing_basis_rows_slice(
-        &self,
-        degree: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<Vec<F>>, PssError> {
-        self.check_degree(degree)?;
-        if lo > hi || hi > self.n {
-            return Err(PssError::Field(FieldError::LengthMismatch { xs: self.n, ys: hi }));
-        }
-        let domain = self.share_domain(degree)?;
-        Ok(self.party_points[lo..hi]
             .iter()
             .map(|&p| domain.basis_at(p).to_vec())
             .collect())
@@ -1565,96 +1434,6 @@ mod tests {
             scheme.reconstruct(&surviving[1..], rec_degree),
             Err(PssError::NotEnoughShares { .. })
         ));
-    }
-
-    #[test]
-    fn slice_deal_union_matches_full_deal_bit_for_bit() {
-        // Every partition of 0..n — even splits, uneven splits, empty
-        // slices — must reassemble into exactly the full deal, for
-        // both layouts and every degree.
-        for layout in [PointLayout::Sequential, PointLayout::Subgroup] {
-            let scheme = PackedSharing::<F61>::with_layout(14, 4, layout).unwrap();
-            let secrets = [f(31), f(41), f(59), f(26)];
-            for degree in 3..14 {
-                let mut r1 = rand::rngs::StdRng::seed_from_u64(degree as u64);
-                let full = scheme.share(&mut r1, &secrets, degree).unwrap();
-                for bounds in [vec![0, 7, 14], vec![0, 3, 3, 10, 14], vec![0, 14], vec![0, 1, 13, 14]]
-                {
-                    let mut assembled = Vec::new();
-                    for w in bounds.windows(2) {
-                        // Each slice re-deals from the same RNG state,
-                        // as a fleet worker replaying child seeds does.
-                        let mut r = rand::rngs::StdRng::seed_from_u64(degree as u64);
-                        let mut part = Vec::new();
-                        let mut scratch = PssScratch::default();
-                        scheme
-                            .share_slice_into(&mut r, &secrets, degree, w[0], w[1], &mut part, &mut scratch)
-                            .unwrap();
-                        assert_eq!(part.len(), w[1] - w[0]);
-                        assembled.extend_from_slice(&part);
-                    }
-                    assert_eq!(
-                        full.values(),
-                        &assembled[..],
-                        "layout {layout:?} degree {degree} bounds {bounds:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn slice_deal_above_ntt_crossover_matches_full_transform() {
-        // Degree 89 on the 400/45 subgroup scheme takes the transform
-        // path (m = 90 on the chain): the slice Horner values must be
-        // bit-identical to the full-domain forward transform's.
-        let scheme = PackedSharing::<F61>::with_layout(400, 45, PointLayout::Subgroup).unwrap();
-        let secrets: Vec<F61> = (0..45).map(|i| f(7 * i + 2)).collect();
-        let degree = 89;
-        let mut r1 = rand::rngs::StdRng::seed_from_u64(9);
-        let full = scheme.share(&mut r1, &secrets, degree).unwrap();
-        let mut assembled = Vec::new();
-        for w in [0usize, 100, 250, 251, 400].windows(2) {
-            let mut r = rand::rngs::StdRng::seed_from_u64(9);
-            let mut part = Vec::new();
-            let mut scratch = PssScratch::default();
-            scheme
-                .share_slice_into(&mut r, &secrets, degree, w[0], w[1], &mut part, &mut scratch)
-                .unwrap();
-            assembled.extend_from_slice(&part);
-        }
-        assert_eq!(full.values(), &assembled[..]);
-    }
-
-    #[test]
-    fn dealing_basis_rows_slice_matches_full_rows() {
-        for layout in [PointLayout::Sequential, PointLayout::Subgroup] {
-            let scheme = PackedSharing::<F61>::with_layout(14, 4, layout).unwrap();
-            let degree = 7;
-            let full = scheme.dealing_basis_rows(degree).unwrap();
-            let mut assembled: Vec<Vec<F61>> = Vec::new();
-            for w in [0usize, 5, 5, 11, 14].windows(2) {
-                assembled.extend(scheme.dealing_basis_rows_slice(degree, w[0], w[1]).unwrap());
-            }
-            assert_eq!(full, assembled, "layout {layout:?}");
-        }
-    }
-
-    #[test]
-    fn slice_deal_rejects_bad_ranges() {
-        let scheme = PackedSharing::<F61>::new(10, 3).unwrap();
-        let secrets = [f(1), f(2), f(3)];
-        let mut r = rng();
-        let mut out = Vec::new();
-        let mut scratch = PssScratch::default();
-        assert!(scheme
-            .share_slice_into(&mut r, &secrets, 5, 4, 2, &mut out, &mut scratch)
-            .is_err());
-        assert!(scheme
-            .share_slice_into(&mut r, &secrets, 5, 0, 11, &mut out, &mut scratch)
-            .is_err());
-        assert!(scheme.dealing_basis_rows_slice(5, 9, 11).is_err());
-        assert!(scheme.dealing_basis_rows_slice(5, 3, 1).is_err());
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl<M: WireMessage + Clone + Send + Sync + 'static> BulletinBoard<M> {
 
     /// Like [`BulletinBoard::connect_tcp`] with explicit
     /// [`crate::tcp::TcpOptions`] — the hook for tuning the pipelining
-    /// window (`pipeline_window: 1` restores strict lockstep posting)
+    /// window (`pipeline_window: 1` syncs after every frame)
     /// or frame-chunking thresholds.
     ///
     /// # Errors
@@ -290,19 +290,6 @@ impl<M> BulletinBoard<M> {
     /// Propagates transport failures (remote backends only).
     pub fn postings(&self) -> Result<Vec<Posting<M>>, BoardError> {
         self.transport.read_from(0)
-    }
-
-    /// Snapshot of the postings at sequence positions `>= cursor` —
-    /// the distributed-transform read-back primitive: a worker records
-    /// the board position before a batch's posting run, waits for the
-    /// run to land, and reads exactly the new records without
-    /// re-cloning history.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures (remote backends only).
-    pub fn postings_from(&self, cursor: usize) -> Result<Vec<Posting<M>>, BoardError> {
-        self.transport.read_from(cursor)
     }
 
     /// Snapshot of the postings made in `round` — `O(round size)`, via
